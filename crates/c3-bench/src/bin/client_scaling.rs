@@ -19,6 +19,10 @@
 //! The occupancy health channel corroborates the verdict per cell: in the
 //! client-bound region p99 occupancy sits at the budget ceiling; past the
 //! knee the budget stops being the binding constraint on throughput.
+//! Each cell also prints C3's rate-limiter counters (decreases, increases,
+//! throttled sends, summed over replicas): on this fleet no replica is
+//! slow, so a steady stream of decreases means the limiter is cutting
+//! healthy replicas.
 //!
 //! A second section sweeps **fleet shape**: the same workload against
 //! multi-process `c3-live-node` fleets (one replica per OS process),
@@ -34,6 +38,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use c3_core::RateStats;
 use c3_engine::Strategy;
 use c3_live::{run_live, LiveConfig};
 use c3_live_node::{node_bin, run_node};
@@ -51,6 +56,8 @@ struct Cell {
     feedback_lag_p50_ns: u64,
     feedback_lag_p99_ns: u64,
     feedback_lag_max_ns: u64,
+    /// C3 rate-limiter counters (zeros for LOR).
+    rate: RateStats,
 }
 
 fn cell_cfg(strategy: Strategy, in_flight: usize, run_for: Duration) -> LiveConfig {
@@ -83,8 +90,8 @@ fn main() {
         fleet.replicas, fleet.concurrency, run_for
     );
     println!(
-        "{:<9} {:>9} {:>12} {:>9} {:>17}",
-        "strategy", "in-flight", "ops/s", "p99 ms", "occ p50/p99/max"
+        "{:<9} {:>9} {:>12} {:>9} {:>17} {:>17}",
+        "strategy", "in-flight", "ops/s", "p99 ms", "occ p50/p99/max", "rate dec/inc/thr"
     );
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -99,15 +106,17 @@ fn main() {
             let read_p99_ms = report.p99_ms();
             let occ = &live.health[0].summary;
             let lag = &live.health[1].summary;
+            let occ_col = format!("{}/{}/{}", occ.p50_ns, occ.p99_ns, occ.max_ns);
+            let rate = live.rate;
+            let rate_col = format!("{}/{}/{}", rate.decreases, rate.increases, rate.throttled);
             println!(
-                "{:<9} {:>9} {:>12.0} {:>9.2} {:>10}/{}/{}",
+                "{:<9} {:>9} {:>12.0} {:>9.2} {:>17} {:>17}",
                 strategy.label(),
                 budget,
                 throughput,
                 read_p99_ms,
-                occ.p50_ns,
-                occ.p99_ns,
-                occ.max_ns,
+                occ_col,
+                rate_col,
             );
             cells.push(Cell {
                 strategy: strategy.label().to_string(),
@@ -120,6 +129,7 @@ fn main() {
                 feedback_lag_p50_ns: lag.p50_ns,
                 feedback_lag_p99_ns: lag.p99_ns,
                 feedback_lag_max_ns: lag.max_ns,
+                rate,
             });
         }
     }
@@ -182,6 +192,7 @@ fn main() {
              \"read_p99_ms\": {:.3}, \"occupancy_p50\": {}, \"occupancy_p99\": {}, \
              \"occupancy_max\": {}, \"feedback_lag_p50_ns\": {}, \
              \"feedback_lag_p99_ns\": {}, \"feedback_lag_max_ns\": {}, \
+             \"rate_decreases\": {}, \"rate_increases\": {}, \"rate_throttled\": {}, \
              \"verdict\": \"{}\"}}",
             c.strategy,
             c.in_flight,
@@ -193,6 +204,9 @@ fn main() {
             c.feedback_lag_p50_ns,
             c.feedback_lag_p99_ns,
             c.feedback_lag_max_ns,
+            c.rate.decreases,
+            c.rate.increases,
+            c.rate.throttled,
             verdict
         );
         json.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });

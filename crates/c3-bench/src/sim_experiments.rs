@@ -1,5 +1,6 @@
-//! Simulator-backed experiments: Figures 14 and 15, plus the design
-//! ablations called out in `DESIGN.md`.
+//! Simulator-backed experiments: Figures 14 and 15, plus two ablations of
+//! C3's design: its components switched off one at a time (A1), and its
+//! parameters w and β swept (A2).
 
 use c3_core::{C3Config, Nanos};
 use c3_metrics::Table;

@@ -34,6 +34,7 @@ use crate::feedback::Feedback;
 use crate::rate::{RateLimiter, RateStats};
 use crate::scheduler::{SendDecision, ServerId};
 use crate::time::Nanos;
+use crate::tracker::{STALE_FEEDBACK_AFTER, STALE_FEEDBACK_PASSES};
 
 /// Largest replica group [`SharedC3State::try_send`] accepts: candidate
 /// scores live in a stack buffer so the lock-free selection path performs
@@ -51,6 +52,11 @@ pub struct AtomicTracker {
     queue_size: AtomicU64,
     service_time_ms: AtomicU64,
     response_time_ms: AtomicU64,
+    /// Nanoseconds at the server's last answer.
+    heard_at: AtomicU64,
+    /// Selections that passed the server over since its last send or
+    /// answer.
+    passes: AtomicU32,
 }
 
 /// Fold one sample into an EWMA cell stored as f64 bits: first sample
@@ -90,17 +96,30 @@ impl AtomicTracker {
             queue_size: AtomicU64::new(f64::NAN.to_bits()),
             service_time_ms: AtomicU64::new(f64::NAN.to_bits()),
             response_time_ms: AtomicU64::new(f64::NAN.to_bits()),
+            heard_at: AtomicU64::new(0),
+            passes: AtomicU32::new(0),
         }
     }
 
     /// Record that a request was sent to this server.
     pub fn on_send(&self) {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
+        self.passes.store(0, Ordering::Release);
+    }
+
+    /// Record that a selection over a group holding this server chose
+    /// another server, or none. A plain add, not a CAS loop: wrapping
+    /// after 2³² passes in a row would only delay aging.
+    pub fn on_passed_over(&self) {
+        self.passes.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Record a response: decrements the outstanding count and folds the
     /// piggybacked feedback and the observed response time into the EWMAs.
-    pub fn on_response(&self, response_time: Nanos, feedback: Option<&Feedback>) {
+    /// `now` is when the response arrived.
+    pub fn on_response(&self, response_time: Nanos, feedback: Option<&Feedback>, now: Nanos) {
+        self.heard_at.fetch_max(now.as_nanos(), Ordering::AcqRel);
+        self.passes.store(0, Ordering::Release);
         // fetch_update instead of fetch_sub: concurrent completions must
         // saturate at zero like the single-threaded tracker, not wrap.
         let _ = self
@@ -130,6 +149,21 @@ impl AtomicTracker {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |os| {
                 Some(os.saturating_sub(1))
             });
+    }
+
+    /// `ServerTracker::forget_if_stale` over the atomic cells. A fold
+    /// racing with the forgetting may land before it and be dropped with
+    /// the stale state; the next answer re-seeds the cells either way.
+    #[inline]
+    pub fn forget_if_stale(&self, now: Nanos) {
+        let heard_at = Nanos(self.heard_at.load(Ordering::Acquire));
+        if self.passes.load(Ordering::Acquire) >= STALE_FEEDBACK_PASSES
+            && now.saturating_sub(heard_at) > STALE_FEEDBACK_AFTER
+        {
+            for cell in [&self.queue_size, &self.response_time_ms] {
+                cell.store(f64::NAN.to_bits(), Ordering::Release);
+            }
+        }
     }
 
     /// Current outstanding request count `os_s`.
@@ -273,6 +307,7 @@ impl SharedC3State {
         );
         let mut scores = [f64::NAN; MAX_GROUP];
         for (slot, &s) in scores.iter_mut().zip(group) {
+            self.trackers[s].forget_if_stale(now);
             let score = self.trackers[s].score(&self.cfg);
             debug_assert!(!score.is_nan(), "C3 scores must not be NaN");
             *slot = score;
@@ -321,9 +356,11 @@ impl SharedC3State {
                     .expect("limiter poisoned")
                     .try_acquire(now);
                 if acquired {
+                    self.pass_over(group, Some(s));
                     return SendDecision::Send(s);
                 }
             }
+            self.pass_over(group, None);
             let retry_at = group
                 .iter()
                 .enumerate()
@@ -345,7 +382,17 @@ impl SharedC3State {
                 }
             }
             let (_, i) = best.expect("a live candidate remains");
+            self.pass_over(group, Some(group[i]));
             SendDecision::Send(group[i])
+        }
+    }
+
+    /// Count a selection against every candidate it did not choose.
+    fn pass_over(&self, group: &[ServerId], chosen: Option<ServerId>) {
+        for &s in group {
+            if chosen != Some(s) {
+                self.trackers[s].on_passed_over();
+            }
         }
     }
 
@@ -363,7 +410,7 @@ impl SharedC3State {
         feedback: Option<&Feedback>,
         now: Nanos,
     ) {
-        self.trackers[server].on_response(response_time, feedback);
+        self.trackers[server].on_response(response_time, feedback, now);
         self.limiters[server]
             .lock()
             .expect("limiter poisoned")
@@ -440,6 +487,49 @@ mod tests {
         assert_eq!(reference.rate_stats(), shared.rate_stats());
     }
 
+    /// Aging a sidelined server must make the same decisions in both
+    /// states: the same long schedule (past the staleness horizon) through
+    /// `C3State` and `SharedC3State`.
+    #[test]
+    fn sidelined_server_aging_matches_c3state() {
+        let cfg = C3Config {
+            initial_rate: 1_000.0,
+            ..C3Config::default()
+        };
+        let mut reference = C3State::new(3, cfg, Nanos::ZERO);
+        let shared = SharedC3State::new(3, cfg, Nanos::ZERO);
+        let group = [0usize, 1, 2];
+        let answer = |reference: &mut C3State, s: usize, now: Nanos, q: u32, ms: u64| {
+            reference.record_send(s);
+            shared.record_send(s);
+            let feedback = fb(q, ms);
+            reference.on_response(s, Nanos::from_millis(ms + 1), Some(&feedback), now);
+            shared.on_response(s, Nanos::from_millis(ms + 1), Some(&feedback), now);
+        };
+        answer(&mut reference, 0, Nanos::from_millis(1), 30, 30);
+        answer(&mut reference, 1, Nanos::from_millis(1), 0, 1);
+        answer(&mut reference, 2, Nanos::from_millis(1), 0, 1);
+        let mut probed = false;
+        for ms in 2..1_200 {
+            let now = Nanos::from_millis(ms);
+            let a = reference.try_send(&group, now);
+            let b = shared.try_send(&group, now);
+            assert_eq!(a, b, "diverged at {ms} ms");
+            for s in 0..3 {
+                assert_eq!(
+                    reference.score_of(s).to_bits(),
+                    shared.score_of(s).to_bits(),
+                    "server {s} score diverged at {ms} ms"
+                );
+            }
+            if let SendDecision::Send(s) = a {
+                probed |= s == 0;
+                answer(&mut reference, s, now, 0, 1);
+            }
+        }
+        assert!(probed, "the sidelined server was never probed");
+    }
+
     #[test]
     fn atomic_tracker_matches_server_tracker() {
         use crate::tracker::ServerTracker;
@@ -450,12 +540,12 @@ mod tests {
         st.on_send();
         at.on_send();
         assert_eq!(st.score(&cfg).to_bits(), at.score(&cfg).to_bits());
-        st.on_response(Nanos::from_millis(7), None);
-        at.on_response(Nanos::from_millis(7), None);
+        st.on_response(Nanos::from_millis(7), None, Nanos::ZERO);
+        at.on_response(Nanos::from_millis(7), None, Nanos::ZERO);
         st.on_send();
         at.on_send();
-        st.on_response(Nanos::from_millis(9), Some(&fb(5, 3)));
-        at.on_response(Nanos::from_millis(9), Some(&fb(5, 3)));
+        st.on_response(Nanos::from_millis(9), Some(&fb(5, 3)), Nanos::ZERO);
+        at.on_response(Nanos::from_millis(9), Some(&fb(5, 3)), Nanos::ZERO);
         assert_eq!(st.score(&cfg).to_bits(), at.score(&cfg).to_bits());
         assert_eq!(st.outstanding(), at.outstanding());
     }
@@ -465,7 +555,7 @@ mod tests {
         let t = AtomicTracker::new(0.5);
         t.on_abandoned();
         assert_eq!(t.outstanding(), 0);
-        t.on_response(Nanos::from_millis(1), None);
+        t.on_response(Nanos::from_millis(1), None, Nanos::ZERO);
         assert_eq!(t.outstanding(), 0);
     }
 

@@ -87,4 +87,4 @@ pub use scheduler::{BacklogQueue, C3State, SendDecision, ServerId};
 pub use score::{queue_size_estimate, rank_by_score, score};
 pub use selector::{C3Selector, ReplicaSelector, ReplicaView, ResponseInfo, Selection};
 pub use time::{Clock, Nanos, WallClock};
-pub use tracker::{ServerTracker, TrackerSnapshot};
+pub use tracker::{ServerTracker, TrackerSnapshot, STALE_FEEDBACK_AFTER};

@@ -242,17 +242,33 @@ impl RateLimiter {
     /// Record a response from the server and run the adaptation step
     /// (Algorithm 2, lines 3–11).
     ///
-    /// One deliberate deviation from the paper's pseudocode, documented in
-    /// `DESIGN.md`: Algorithm 2 compares the rate *limit* (`srate`) against
-    /// the measured receive rate. Taken literally, a client whose demand is
-    /// far below its limit always sees `srate > rrate` and decays the limit
-    /// to the floor even though the server is perfectly healthy — at
-    /// realistic per-(client, server) loads (~1 request per δ) this
-    /// throttles the whole system. A rate limit is only falsifiable where
-    /// it binds, so this implementation decreases when the **actual** send
-    /// rate outruns the receive rate (the congestion signal the limit
-    /// stands in for) and grows along the cubic curve when the budget was
-    /// actually exhausted while the server kept pace.
+    /// One deliberate deviation from the paper's pseudocode: Algorithm 2
+    /// compares the rate *limit* (`srate`) against the measured receive
+    /// rate. Taken literally, a client whose demand is far below its limit
+    /// always sees `srate > rrate` and decays the limit to the floor even
+    /// though the server is perfectly healthy — at realistic
+    /// per-(client, server) loads (~1 request per δ) this throttles the
+    /// whole system. A rate limit is only falsifiable where it binds, so
+    /// this implementation decreases when the **actual** send rate outruns
+    /// the receive rate (the congestion signal the limit stands in for)
+    /// and grows along the cubic curve when the budget was actually
+    /// exhausted while the server kept pace.
+    ///
+    /// A second deviation: the decrease test tolerates a dead band that
+    /// scales with the window's traffic, `max(DEAD_BAND,
+    /// arate·DEAD_BAND_SHARE)`, where the pseudocode has none. `arate` and
+    /// `rrate` are one δ window's counts, and the requests in flight
+    /// across a window's edges make `arate − rrate` swing by a few
+    /// requests on a healthy server at tens of sends per window; a fixed
+    /// one-request band read that swing as congestion and cut a healthy
+    /// server's limit many times a second. The growth test keeps the
+    /// fixed band.
+    ///
+    /// The decrease itself follows Algorithm 2 literally: `srate ← srate·β`
+    /// (20% of `R₀` at the default β), although the cubic curve it then
+    /// grows along starts at `R₀·(1−β)` (see [`cubic_rate`]). The two do
+    /// not meet: the first increase after a decrease jumps up towards the
+    /// curve, capped at `s_max` per step. This is left as the paper has it.
     pub fn on_response(&mut self, now: Nanos) {
         self.meter.roll(now, Nanos(self.delta_ns));
         self.meter.recv += 1;
@@ -260,7 +276,7 @@ impl RateLimiter {
         let rrate = self.meter.rrate;
         let was_throttled = self.meter.was_throttled;
 
-        if arate > rrate + DEAD_BAND
+        if congested(arate, rrate)
             && now.saturating_sub(self.t_increase) > self.cfg.hysteresis
             && now.saturating_sub(self.t_decrease) > self.cfg.hysteresis
         {
@@ -290,6 +306,19 @@ impl RateLimiter {
 /// requests per δ window, off-by-one phase effects between the send and
 /// receive streams are noise, not congestion.
 const DEAD_BAND: f64 = 1.0;
+
+/// Share of a window's sends the decrease test also tolerates: the
+/// requests straddling a window's edges grow with the window's traffic,
+/// so at tens of sends per window a healthy server's `arate − rrate`
+/// swings well past [`DEAD_BAND`]. Below 10 sends per window the fixed
+/// band governs.
+const DEAD_BAND_SHARE: f64 = 0.1;
+
+/// The multiplicative-decrease test: the server fell behind the sends of
+/// the last window by more than window-edge noise.
+fn congested(arate: f64, rrate: f64) -> bool {
+    arate > rrate + DEAD_BAND.max(arate * DEAD_BAND_SHARE)
+}
 
 /// Per-δ-window measurement of actual traffic to one server.
 ///
@@ -481,6 +510,111 @@ mod tests {
         assert!(rl.stats().decreases >= 1, "should have decreased");
         assert!(rl.srate() < 10.0);
         assert!(rl.saturation_rate() >= rl.srate());
+    }
+
+    /// Serve `sends` (sorted send attempts) with a fixed round-trip time:
+    /// every send the limiter lets out is answered `rtt` later when
+    /// `answered(i)` holds for its index `i` among the sends that went out.
+    fn serve(rl: &mut RateLimiter, sends: &[Nanos], rtt: Nanos, answered: impl Fn(usize) -> bool) {
+        let mut pending = std::collections::VecDeque::new();
+        let mut out = 0;
+        for &at in sends {
+            while let Some(&due) = pending.front() {
+                if due > at {
+                    break;
+                }
+                pending.pop_front();
+                rl.on_response(due);
+            }
+            if rl.try_acquire(at) {
+                if answered(out) {
+                    pending.push_back(at + rtt);
+                }
+                out += 1;
+            }
+        }
+        for due in pending {
+            rl.on_response(due);
+        }
+    }
+
+    /// `per_window` sends per δ window for `windows` windows, evenly spaced
+    /// and each shifted by up to ±`jitter_ns` (seeded), starting one window
+    /// in so no send lands before time zero.
+    fn jittered_sends(per_window: u64, windows: u64, jitter_ns: u64, seed: u64) -> Vec<Nanos> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let delta = ms(20).as_nanos();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sends: Vec<Nanos> = (0..per_window * windows)
+            .map(|i| {
+                let shift = rng.gen_range(0..=2 * jitter_ns);
+                Nanos(delta + i * delta / per_window + shift - jitter_ns)
+            })
+            .collect();
+        sends.sort();
+        sends
+    }
+
+    #[test]
+    fn healthy_high_rate_server_is_never_cut() {
+        // ~72 reads per window with a 1 ms round trip: the sends in flight
+        // across each window's edges make `arate − rrate` swing by up to
+        // ±5 on a server that answers everything. A fixed one-request dead
+        // band read that as congestion dozens of times in 10 s.
+        let c = C3Config {
+            initial_rate: 100.0,
+            ..C3Config::default()
+        };
+        for seed in 0..4 {
+            let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+            serve(
+                &mut rl,
+                &jittered_sends(72, 500, 250_000, seed),
+                ms(1),
+                |_| true,
+            );
+            assert_eq!(rl.stats().decreases, 0, "seed {seed}: healthy server cut");
+            assert_eq!(rl.stats().throttled, 0, "the limit never binds");
+            assert_eq!(rl.srate(), 100.0);
+        }
+    }
+
+    #[test]
+    fn a_server_dropping_responses_is_cut_within_a_few_windows() {
+        // A server answering 7 of every 10 sends is really falling behind,
+        // at low and at high traffic alike.
+        for per_window in [5u64, 72] {
+            let c = C3Config {
+                initial_rate: 100.0,
+                ..C3Config::default()
+            };
+            let mut rl = RateLimiter::new(&c, Nanos::ZERO);
+            let sends: Vec<Nanos> = (0..per_window * 5)
+                .map(|i| Nanos(i * ms(20).as_nanos() / per_window))
+                .collect();
+            serve(&mut rl, &sends, ms(1), |i| i % 10 < 7);
+            assert!(
+                rl.stats().decreases >= 1,
+                "{per_window}/window: no decrease in 5 windows"
+            );
+            assert!(rl.srate() < 100.0);
+        }
+    }
+
+    proptest::proptest! {
+        /// At up to 9 sends per window the scaled band is the fixed one:
+        /// the decrease decision is exactly the historical one.
+        #[test]
+        fn low_traffic_decrease_decision_is_unchanged(
+            sent in 0u32..10,
+            recv in 0u32..20,
+            spread in 1u32..5,
+        ) {
+            let arate = f64::from(sent) / f64::from(spread);
+            let rrate = f64::from(recv) / f64::from(spread);
+            proptest::prop_assert_eq!(congested(arate, rrate), arate > rrate + DEAD_BAND);
+        }
     }
 
     #[test]

@@ -136,7 +136,9 @@ impl C3State {
     /// Algorithm 1: rank `group` by score and return the best server that is
     /// within its sending rate, consuming a token. With rate control
     /// disabled (ablation), the top-ranked server is returned
-    /// unconditionally.
+    /// unconditionally. A candidate that earlier selections kept passing
+    /// over while it stayed silent has its stale averages forgotten first
+    /// (see [`ServerTracker::forget_if_stale`]), so it is probed again.
     ///
     /// The caller must follow every `Send(s)` with [`C3State::record_send`]
     /// when the request actually goes out (this split exists because
@@ -156,6 +158,7 @@ impl C3State {
         // the previous stable sort did.
         self.scores.clear();
         for &s in group {
+            self.trackers[s].forget_if_stale(now);
             let score = self.trackers[s].score(&self.cfg);
             debug_assert!(!score.is_nan(), "C3 scores must not be NaN");
             self.scores.push(score);
@@ -205,6 +208,11 @@ impl C3State {
             decision = best.map(|(_, i)| group[i]);
         }
 
+        for &s in group {
+            if decision != Some(s) {
+                self.trackers[s].on_passed_over();
+            }
+        }
         match decision {
             Some(s) => SendDecision::Send(s),
             None => {
@@ -236,7 +244,7 @@ impl C3State {
         feedback: Option<&Feedback>,
         now: Nanos,
     ) {
-        self.trackers[server].on_response(response_time, feedback);
+        self.trackers[server].on_response(response_time, feedback, now);
         self.limiters[server].on_response(now);
     }
 
@@ -552,5 +560,45 @@ mod tests {
         let _ = st.try_send(&[0, 1], now);
         let _ = st.try_send(&[0, 1], now);
         assert!(st.rate_stats().throttled > 0);
+    }
+
+    /// One slow answer sidelines server 0: its peers answer fast, so every
+    /// selection (one per millisecond) passes it over and it never answers
+    /// again. It is probed at the first selection where it has been both
+    /// silent for longer than `STALE_FEEDBACK_AFTER` and passed over
+    /// `STALE_FEEDBACK_PASSES` times, and a fast answer to the probe puts
+    /// it back in rotation.
+    #[test]
+    fn a_sidelined_server_is_probed_once_its_feedback_is_stale() {
+        use crate::tracker::{STALE_FEEDBACK_AFTER, STALE_FEEDBACK_PASSES};
+        let mut st = state(3, 1_000.0);
+        let answer = |st: &mut C3State, s: ServerId, now: Nanos, feedback: Feedback| {
+            st.record_send(s);
+            st.on_response(s, Nanos::from_millis(2), Some(&feedback), now);
+        };
+        let heard = Nanos::from_millis(1);
+        answer(&mut st, 0, heard, fb(30, 30));
+        answer(&mut st, 1, heard, fb(0, 1));
+        answer(&mut st, 2, heard, fb(0, 1));
+        let mut chosen_0 = Vec::new();
+        for ms in 2..1_200 {
+            let now = Nanos::from_millis(ms);
+            if let SendDecision::Send(s) = st.try_send(&[0, 1, 2], now) {
+                if s == 0 {
+                    chosen_0.push(ms);
+                }
+                answer(&mut st, s, now, fb(0, 1));
+            }
+        }
+        // The selection at `ms` sees the `ms − 2` passes made before it.
+        let silent_enough = (heard + STALE_FEEDBACK_AFTER).as_nanos() / 1_000_000 + 1;
+        let passed_enough = 2 + u64::from(STALE_FEEDBACK_PASSES);
+        let probe = silent_enough.max(passed_enough);
+        assert_eq!(chosen_0.first(), Some(&probe), "probed as soon as stale");
+        assert!(
+            chosen_0.len() > 100,
+            "back in rotation after a fast probe answer: chosen {} times",
+            chosen_0.len()
+        );
     }
 }

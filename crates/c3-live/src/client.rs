@@ -61,8 +61,8 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use c3_cluster::{register_cluster_strategies, SnitchSelector};
 use c3_core::{
-    Clock, LifecycleConfig, Nanos, ReplicaSelector, ResponseInfo, Selection, SharedC3State,
-    WallClock,
+    Clock, LifecycleConfig, Nanos, RateStats, ReplicaSelector, ResponseInfo, Selection,
+    SharedC3State, WallClock,
 };
 use c3_engine::{SeedSeq, SelectorCtx, StrategyRegistry};
 use c3_net::proto::{encode_request, Frame, Request};
@@ -174,6 +174,9 @@ impl LifecycleTallies {
 pub(crate) struct ClientArtifacts {
     pub samples: Vec<Sample>,
     pub backpressure_waits: u64,
+    /// C3 rate-limiter counters summed over replicas (zeros for the
+    /// sharded baselines).
+    pub rate: RateStats,
     pub issued: u64,
     /// Lifecycle tallies (zeros when hardening was off).
     pub lifecycle: LifecycleCounts,
@@ -492,13 +495,15 @@ impl LiveSelector {
         }
     }
 
-    fn into_artifact_parts(self) -> (Vec<(Nanos, Vec<f64>)>, u64) {
+    fn into_artifact_parts(self) -> (Vec<(Nanos, Vec<f64>)>, u64, RateStats) {
         let waits = self.backpressure_waits.load(Ordering::Acquire);
         match self.kind {
-            SelectorKind::SharedC3 { trace, .. } => {
-                (trace.into_inner().expect("trace poisoned"), waits)
-            }
-            SelectorKind::Sharded { .. } => (Vec::new(), waits),
+            SelectorKind::SharedC3 { state, trace, .. } => (
+                trace.into_inner().expect("trace poisoned"),
+                waits,
+                state.rate_stats(),
+            ),
+            SelectorKind::Sharded { .. } => (Vec::new(), waits, RateStats::default()),
         }
     }
 }
@@ -849,7 +854,7 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     let selector = Arc::try_unwrap(selector)
         .map_err(|_| "selector still shared")
         .expect("all workers joined");
-    let (score_trace, backpressure_waits) = selector.into_artifact_parts();
+    let (score_trace, backpressure_waits, rate) = selector.into_artifact_parts();
     // One sampling/reporting path: the per-thread buffers pour into the
     // flight recorder (capacity 0 — live runs carry series, not lifecycle
     // events), where the score trace and health gauges come back out.
@@ -862,6 +867,7 @@ pub(crate) fn execute_on(cfg: &LiveConfig, transport: &Transport) -> io::Result<
     Ok(ClientArtifacts {
         samples,
         backpressure_waits,
+        rate,
         issued: issued.load(Ordering::Acquire),
         lifecycle: tallies.snapshot(),
         recorder,

@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use c3_cluster::{FaultEvent, FaultKind, FaultPlan, ScriptedSlowdown, CLUSTER_CHANNELS};
-use c3_core::{LifecycleConfig, Nanos};
+use c3_core::{LifecycleConfig, Nanos, RateStats};
 use c3_engine::{ChannelId, ChannelSet, EventQueue, RunMetrics, Scenario, ScenarioRunner};
 use c3_scenarios::{
     ChannelReport, ScenarioError, ScenarioParams, ScenarioRegistry, ScenarioReport,
@@ -129,6 +129,10 @@ pub struct LiveReport {
     pub score_trace: Vec<(Nanos, Vec<f64>)>,
     /// Times a worker parked on `Selection::Backpressure`.
     pub backpressure_waits: u64,
+    /// The C3 rate limiters' decreases, increases and throttled sends,
+    /// summed over replicas; all zero for the sharded baselines, which
+    /// have no shared limiter.
+    pub rate: RateStats,
     /// Operations issued (including unmeasured warm-up).
     pub ops_issued: u64,
     /// Request-lifecycle tallies (deadlines, retries, hedges, evictions,
@@ -223,6 +227,7 @@ pub fn run_live_on(scenario_name: &str, cfg: LiveConfig, transport: Transport) -
         report,
         score_trace: artifacts.recorder.take_score_trace(),
         backpressure_waits: artifacts.backpressure_waits,
+        rate: artifacts.rate,
         ops_issued: artifacts.issued,
         lifecycle: artifacts.lifecycle,
         health,
@@ -428,6 +433,8 @@ mod tests {
         assert!(report.p99_ms() > 0.0);
         assert!(report.duration > Nanos::ZERO);
         assert!(!live.score_trace.is_empty(), "C3 runs sample scores");
+        // A worker parks only after a replica's limiter refused a send.
+        assert!(live.rate.throttled >= live.backpressure_waits);
         for (_, scores) in &live.score_trace {
             assert_eq!(scores.len(), 3);
         }
@@ -477,6 +484,7 @@ mod tests {
         // Workers race the cap by a thread count at most.
         assert!(live.ops_issued >= 200 && live.ops_issued < 200 + 8);
         assert!(live.report.total_completions() <= 200 + 8);
+        assert_eq!(live.rate, RateStats::default(), "LOR has no rate limiter");
     }
 
     #[test]
